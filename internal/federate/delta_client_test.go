@@ -2,8 +2,10 @@ package federate
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,10 +34,46 @@ func newTestFederator(t *testing.T, url string, mutate func(*Options)) *Federato
 	return f
 }
 
+// jsonDocBytes fetches an endpoint's /cube.json and /windows.json the
+// way a JSON scraper would — gzip negotiated, so the body is counted as
+// it crosses the wire — and returns their combined body size. A
+// /windows.json answering non-200 (windowing disabled) counts zero bytes.
+// It is the comparator for the delta path's wire cost.
+func jsonDocBytes(tb testing.TB, base string) int64 {
+	tb.Helper()
+	var total int64
+	for _, doc := range []string{"/cube.json", "/windows.json"} {
+		req, err := http.NewRequest(http.MethodGet, base+doc, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		// Setting Accept-Encoding explicitly stops the transport from
+		// decompressing transparently: the body read is the wire body.
+		req.Header.Set("Accept-Encoding", "gzip")
+		resp, err := testClient.Do(req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		switch {
+		case resp.StatusCode == http.StatusOK:
+			total += n
+		case doc == "/cube.json":
+			tb.Fatalf("GET %s: status %d", doc, resp.StatusCode)
+		}
+	}
+	return total
+}
+
 // TestScrapeDeltaSavesBytes: once a client holds a snapshot, follow-up
 // scrapes of a slightly-changed endpoint must move far fewer bytes over
-// the delta path than the same scrapes forced through full JSON — the
-// whole point of LIFP. Both federators must end up with identical cubes.
+// the delta path than refetching the gzip'd JSON documents would — the
+// whole point of LIFP — and the federated cube must still be exactly the
+// collector's own.
 func TestScrapeDeltaSavesBytes(t *testing.T) {
 	c := monitor.NewCollector(monitor.Options{Shards: 1, Window: 0.25})
 	for _, e := range jobEvents(16, 0.5) {
@@ -44,77 +82,90 @@ func TestScrapeDeltaSavesBytes(t *testing.T) {
 	srv := httptest.NewServer(serve.NewHandler(c))
 	defer srv.Close()
 
-	delta := newTestFederator(t, srv.URL, nil)
-	full := newTestFederator(t, srv.URL, func(o *Options) { o.DisableDelta = true })
+	f := newTestFederator(t, srv.URL, nil)
 	ctx := context.Background()
-	delta.ScrapeAll(ctx)
-	full.ScrapeAll(ctx)
-
-	dh, fh := delta.Health()[0], full.Health()[0]
-	if !dh.Delta {
-		t.Fatalf("delta federator did not use the delta protocol: %+v", dh)
+	f.ScrapeAll(ctx)
+	h := f.Health()[0]
+	if !h.Delta || h.Failures != 0 {
+		t.Fatalf("first delta scrape did not succeed: %+v", h)
 	}
-	if fh.Delta {
-		t.Fatalf("DisableDelta federator used the delta protocol: %+v", fh)
-	}
-	deltaBase, fullBase := dh.Bytes, fh.Bytes
+	deltaBase := h.Bytes
 
 	// A small change, then rescrape: the delta carries one cell and one
-	// window, full JSON re-ships everything.
-	var deltaIncr, fullIncr uint64
+	// window, the JSON documents re-ship everything.
+	var jsonIncr int64
 	for i := 0; i < 3; i++ {
 		c.Record(trace.Event{Rank: 3, Region: "solve", Activity: "comp",
 			Start: 20 + float64(i), End: 20.5 + float64(i)})
-		delta.ScrapeAll(ctx)
-		full.ScrapeAll(ctx)
+		f.ScrapeAll(ctx)
+		jsonIncr += jsonDocBytes(t, srv.URL)
 	}
-	deltaIncr = delta.Health()[0].Bytes - deltaBase
-	fullIncr = full.Health()[0].Bytes - fullBase
-	if deltaIncr == 0 || fullIncr == 0 {
-		t.Fatalf("no bytes moved: delta %d, full %d", deltaIncr, fullIncr)
+	deltaIncr := f.Health()[0].Bytes - deltaBase
+	if deltaIncr == 0 || jsonIncr == 0 {
+		t.Fatalf("no bytes moved: delta %d, json %d", deltaIncr, jsonIncr)
 	}
-	if deltaIncr*4 >= fullIncr {
-		t.Fatalf("delta path saved too little: %d bytes vs %d full-JSON bytes", deltaIncr, fullIncr)
+	if int64(deltaIncr)*4 >= jsonIncr {
+		t.Fatalf("delta path saved too little: %d bytes vs %d gzip'd JSON bytes", deltaIncr, jsonIncr)
 	}
-	if !delta.Snapshot().Cube.EqualWithin(full.Snapshot().Cube, 0) {
-		t.Fatal("delta and full-JSON federators diverged")
+	want, err := trace.Federate([]trace.JobCube{{Label: "job", Cube: c.Snapshot().Cube}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Snapshot().Cube.EqualWithin(want, 0) {
+		t.Fatal("delta-scraped cube diverged from the collector's snapshot")
 	}
 }
 
-// TestScrapeDeltaFallback: an endpoint without /delta (an older
-// collector build) must degrade to JSON scrapes transparently — and the
-// fallback must be sticky, not re-probed every round.
-func TestScrapeDeltaFallback(t *testing.T) {
-	c := monitor.NewCollector(monitor.Options{Shards: 1})
+// TestScrapeDeltaUnsupportedFails: /delta is the only scrape path, so an
+// endpoint that answers it with 404 fails every scrape — visibly in
+// Health, going stale after MaxFailures — and the federator never asks
+// for the JSON documents instead.
+func TestScrapeDeltaUnsupportedFails(t *testing.T) {
+	c := monitor.NewCollector(monitor.Options{Shards: 1, Window: 0.5})
 	for _, e := range jobEvents(4, 0.3) {
 		c.Record(e)
 	}
 	inner := serve.NewHandler(c)
-	var deltaProbes atomic.Int64
+	var deltaProbes, jsonRequests atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/delta" {
+		switch r.URL.Path {
+		case "/delta":
 			deltaProbes.Add(1)
 			http.NotFound(w, r)
 			return
+		case "/cube.json", "/windows.json":
+			jsonRequests.Add(1)
 		}
 		inner.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
 
-	f := newTestFederator(t, srv.URL, nil)
+	f := newTestFederator(t, srv.URL, func(o *Options) { o.MaxFailures = 3 })
 	ctx := context.Background()
-	f.ScrapeAll(ctx)
-	f.ScrapeAll(ctx)
-	f.ScrapeAll(ctx)
-	if probes := deltaProbes.Load(); probes != 1 {
-		t.Fatalf("delta endpoint probed %d times, want exactly 1 (sticky fallback)", probes)
+	for round := 1; round <= 3; round++ {
+		f.ScrapeAll(ctx)
+		h := f.Health()[0]
+		if h.Failures != uint64(round) || h.ConsecutiveFailures != round || h.Scrapes != 0 {
+			t.Fatalf("round %d: 404 not counted as a failed scrape: %+v", round, h)
+		}
+		if !strings.Contains(h.LastError, "status 404") {
+			t.Fatalf("round %d: last error %q does not report the 404", round, h.LastError)
+		}
+		if h.Delta || h.HasCube {
+			t.Fatalf("round %d: failed endpoint reports data: %+v", round, h)
+		}
+		if wantStale := round >= 3; h.Stale != wantStale {
+			t.Fatalf("round %d: stale = %v, want %v", round, h.Stale, wantStale)
+		}
 	}
-	h := f.Health()[0]
-	if h.Delta {
-		t.Fatalf("health claims delta on a JSON-only endpoint: %+v", h)
+	if probes := deltaProbes.Load(); probes != 3 {
+		t.Fatalf("/delta requested %d times over 3 rounds, want 3", probes)
 	}
-	if f.Snapshot().Cube == nil {
-		t.Fatal("JSON fallback produced no cube")
+	if n := jsonRequests.Load(); n != 0 {
+		t.Fatalf("federator fell back to the JSON documents (%d requests)", n)
+	}
+	if f.Snapshot().Cube != nil {
+		t.Fatal("endpoint without /delta contributed a cube")
 	}
 }
 

@@ -19,7 +19,6 @@ const (
 	MetricEndpointConsecutive = "loadimb_fed_endpoint_consecutive_failures"
 	MetricEndpointLatency     = "loadimb_fed_endpoint_scrape_seconds"
 	MetricEndpointBytes       = "loadimb_fed_endpoint_bytes_total"
-	MetricEndpointDelta       = "loadimb_fed_endpoint_delta"
 )
 
 // healthzPayload is the /healthz document: an overall status plus the
@@ -125,13 +124,6 @@ func writeFederationMetrics(w io.Writer, eps []EndpointHealth) {
 			func(ep EndpointHealth) uint64 { return uint64(ep.ConsecutiveFailures) }},
 		{MetricEndpointBytes, "Response body bytes fetched from the endpoint.", "counter",
 			func(ep EndpointHealth) uint64 { return ep.Bytes }},
-		{MetricEndpointDelta, "Whether the endpoint speaks the binary delta protocol (1) or JSON (0).", "gauge",
-			func(ep EndpointHealth) uint64 {
-				if ep.Delta {
-					return 1
-				}
-				return 0
-			}},
 	}
 	for _, fam := range families {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)

@@ -56,7 +56,7 @@ func (l *Log) Len() int { return len(l.events) }
 
 // Events returns a copy of the recorded events. External callers get a
 // slice they may mutate freely; hot internal consumers that only read
-// should use Each or EventsInto instead, which skip the per-call copy.
+// should use Each instead, which skips the per-call copy.
 func (l *Log) Events() []Event { return append([]Event(nil), l.events...) }
 
 // Each calls fn for every recorded event in log order without copying
@@ -65,14 +65,6 @@ func (l *Log) Each(fn func(Event)) {
 	for _, e := range l.events {
 		fn(e)
 	}
-}
-
-// EventsInto appends the recorded events to dst and returns the result,
-// reusing dst's capacity. Callers that repeatedly materialize the events
-// (renderers, repeated folds) amortize one buffer instead of paying a
-// fresh copy per Events call.
-func (l *Log) EventsInto(dst []Event) []Event {
-	return append(dst, l.events...)
 }
 
 // Ranks returns the number of distinct ranks that appear in the log,
