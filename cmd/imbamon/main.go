@@ -3,12 +3,13 @@
 // and serves the paper's dispersion indices over HTTP while the workload
 // executes.
 //
-// Endpoints (see internal/monitor): /metrics (Prometheus text format),
+// Endpoints (see internal/serve): /metrics (Prometheus text format),
 // /cube.json (live measurement cube), /lorenz.json, /timeline.json
 // (windowed temporal imbalance), /phases.json (streaming phase
 // detection over the window trajectory), /diagnose.json (automatic
-// diagnosis: rank cohorts and divergence findings), /healthz, /
-// (embedded dashboard) and /debug/pprof/.
+// diagnosis: rank cohorts and divergence findings), /windows.json (raw
+// window series), /delta (binary LIFP snapshot transfer, what imbafed
+// scrapes), /healthz, / (embedded dashboard) and /debug/pprof/.
 //
 // Usage:
 //
@@ -32,9 +33,9 @@
 // run completes.
 //
 // To watch a fleet of imbamon instances as one program, point imbafed
-// (cmd/imbafed) at their /cube.json endpoints: it federates the cubes
-// (rank offsetting + region namespacing) and re-serves the cluster-wide
-// indices through the same exposition.
+// (cmd/imbafed) at their base URLs: it scrapes each one's binary /delta
+// endpoint, federates the cubes (rank offsetting + region namespacing)
+// and re-serves the cluster-wide indices through the same exposition.
 package main
 
 import (

@@ -16,10 +16,10 @@
 // endpoint that does not serve /delta is no exception: its scrapes fail
 // and it goes stale.
 //
-// The Federator implements monitor.SnapshotSource, so the existing
-// exposition handlers (monitor.MetricsHandler, CubeHandler,
-// LorenzHandler) serve the federated cube unchanged; Handler wires them
-// onto a mux together with a /healthz that lists per-endpoint scrape
+// The Federator implements serve.Source, so the exposition handlers of
+// internal/serve (MetricsHandler, CubeHandler, LorenzHandler, /delta and
+// the rest) serve the federated cube unchanged; Handler mounts them with
+// serve.Mux together with a /healthz that lists per-endpoint scrape
 // state.
 package federate
 

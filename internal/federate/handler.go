@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"loadimb/internal/monitor"
 	"loadimb/internal/serve"
 )
 
@@ -128,13 +129,11 @@ func writeFederationMetrics(w io.Writer, eps []EndpointHealth) {
 	for _, fam := range families {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
 		for _, ep := range eps {
-			// %q escapes backslashes, quotes and newlines the way the
-			// Prometheus text format expects.
-			fmt.Fprintf(w, "%s{endpoint=%q} %d\n", fam.name, ep.Name, fam.value(ep))
+			fmt.Fprintf(w, "%s{%s} %d\n", fam.name, monitor.Label("endpoint", ep.Name), fam.value(ep))
 		}
 	}
 	fmt.Fprintf(w, "# HELP %s Duration of the endpoint's most recent scrape attempt.\n# TYPE %s gauge\n", MetricEndpointLatency, MetricEndpointLatency)
 	for _, ep := range eps {
-		fmt.Fprintf(w, "%s{endpoint=%q} %g\n", MetricEndpointLatency, ep.Name, ep.ScrapeMillis/1000)
+		fmt.Fprintf(w, "%s{%s} %g\n", MetricEndpointLatency, monitor.Label("endpoint", ep.Name), ep.ScrapeMillis/1000)
 	}
 }

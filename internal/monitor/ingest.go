@@ -363,7 +363,7 @@ func (s *IngestServer) WriteMetrics(w io.Writer) error {
 		m.header(MetricIngestConnDropped, "Ring-overflow drops of each open connection.", "counter")
 		m.header(MetricIngestConnStalls, "Backpressure stalls of each open connection.", "counter")
 		for _, ic := range conns {
-			lbls := []string{label("conn", strconv.FormatUint(ic.id, 10)), label("addr", ic.addr)}
+			lbls := []string{Label("conn", strconv.FormatUint(ic.id, 10)), Label("addr", ic.addr)}
 			m.sample(MetricIngestConnEvents, lbls, float64(ic.events.Load()))
 			m.sample(MetricIngestConnDropped, lbls, float64(ic.p.Dropped()))
 			m.sample(MetricIngestConnStalls, lbls, float64(ic.p.Stalls()))

@@ -74,10 +74,14 @@ func (m *writer) sample(name string, labels []string, v float64) {
 	m.printf("%s%s %s\n", name, lbl, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
-// label renders one escaped key="value" pair.
-func label(key, value string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return key + `="` + r.Replace(value) + `"`
+// labelEscaper escapes a label value as the Prometheus text format
+// defines: backslash, double quote and line feed, nothing else.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// Label renders one escaped Prometheus label pair, key="value". Every
+// exposition in the repo escapes label values through it.
+func Label(key, value string) string {
+	return key + `="` + labelEscaper.Replace(value) + `"`
 }
 
 // WriteMetrics renders the snapshot in the Prometheus text exposition
@@ -113,7 +117,7 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 		if err != nil {
 			return err
 		}
-		m.sample(MetricRegionSeconds, []string{label("region", name)}, t)
+		m.sample(MetricRegionSeconds, []string{Label("region", name)}, t)
 	}
 	m.header(MetricActSeconds, "Wall clock time T_j of each activity.", "gauge")
 	for j, name := range activities {
@@ -121,7 +125,7 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 		if err != nil {
 			return err
 		}
-		m.sample(MetricActSeconds, []string{label("activity", name)}, t)
+		m.sample(MetricActSeconds, []string{Label("activity", name)}, t)
 	}
 	m.header(MetricProcSeconds, "Total instrumented time of each processor.", "gauge")
 	for p := 0; p < cube.NumProcs(); p++ {
@@ -129,7 +133,7 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 		if err != nil {
 			return err
 		}
-		m.sample(MetricProcSeconds, []string{label("proc", strconv.Itoa(p))}, t)
+		m.sample(MetricProcSeconds, []string{Label("proc", strconv.Itoa(p))}, t)
 	}
 
 	// The dispersion views, computed once per snapshot by the same code
@@ -146,7 +150,7 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 				continue
 			}
 			m.sample(MetricIDCell,
-				[]string{label("region", regions[i]), label("activity", activities[j])},
+				[]string{Label("region", regions[i]), Label("activity", activities[j])},
 				views.Cells[i][j].ID)
 		}
 	}
@@ -156,8 +160,8 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 		if !a.Defined {
 			continue
 		}
-		m.sample(MetricIDActivity, []string{label("activity", a.Name)}, a.ID)
-		m.sample(MetricSIDActivity, []string{label("activity", a.Name)}, a.SID)
+		m.sample(MetricIDActivity, []string{Label("activity", a.Name)}, a.ID)
+		m.sample(MetricSIDActivity, []string{Label("activity", a.Name)}, a.SID)
 	}
 	m.header(MetricIDRegion, "Code-region-view index of dispersion ID_C.", "gauge")
 	m.header(MetricSIDRegion, "Scaled code-region-view index SID_C.", "gauge")
@@ -165,8 +169,8 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 		if !r.Defined {
 			continue
 		}
-		m.sample(MetricIDRegion, []string{label("region", r.Name)}, r.ID)
-		m.sample(MetricSIDRegion, []string{label("region", r.Name)}, r.SID)
+		m.sample(MetricIDRegion, []string{Label("region", r.Name)}, r.ID)
+		m.sample(MetricSIDRegion, []string{Label("region", r.Name)}, r.SID)
 	}
 	m.header(MetricIDProc, "Processor-view dispersion ID_P of (region, processor).", "gauge")
 	for i := range views.Processors.ByRegion {
@@ -176,7 +180,7 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 				continue
 			}
 			m.sample(MetricIDProc,
-				[]string{label("region", regions[i]), label("proc", strconv.Itoa(p))},
+				[]string{Label("region", regions[i]), Label("proc", strconv.Itoa(p))},
 				d.ID)
 		}
 	}
@@ -193,7 +197,7 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 			if acc.N() == 0 {
 				continue
 			}
-			lbls := []string{label("region", regions[i]), label("activity", activities[j])}
+			lbls := []string{Label("region", regions[i]), Label("activity", activities[j])}
 			m.sample(MetricCellEvents, lbls, float64(acc.N()))
 			m.sample(MetricCellDurMean, lbls, acc.Mean())
 			m.sample(MetricCellDurStddev, lbls, acc.StdDev())
@@ -206,10 +210,10 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 		if last.ID != nil {
 			// An all-idle window has no defined dispersion; omitting the
 			// sample beats serving a misleading 0 ("perfectly balanced").
-			m.sample(MetricWindowID, []string{label("window", strconv.Itoa(last.Index))}, *last.ID)
+			m.sample(MetricWindowID, []string{Label("window", strconv.Itoa(last.Index))}, *last.ID)
 		}
 		m.header(MetricWindowGini, "Gini of per-processor load in the latest window.", "gauge")
-		m.sample(MetricWindowGini, []string{label("window", strconv.Itoa(last.Index))}, last.Gini)
+		m.sample(MetricWindowGini, []string{Label("window", strconv.Itoa(last.Index))}, last.Gini)
 	}
 
 	// Live phase detection: the streaming PELT segmentation of the window
@@ -222,7 +226,7 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 			if l == current.Label {
 				v = 1
 			}
-			m.sample(MetricPhaseCurrent, []string{label("label", l)}, v)
+			m.sample(MetricPhaseCurrent, []string{Label("label", l)}, v)
 		}
 		m.header(MetricPhaseChanges, "Phase boundaries detected in the trajectory so far.", "counter")
 		m.sample(MetricPhaseChanges, nil, float64(len(snap.Phases)-1))
@@ -233,7 +237,7 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 		}
 		for _, l := range []string{temporal.LabelIdle, temporal.LabelQuiet, temporal.LabelHot} {
 			if t, ok := bylabel[l]; ok {
-				m.sample(MetricPhaseSeconds, []string{label("label", l)}, t)
+				m.sample(MetricPhaseSeconds, []string{Label("label", l)}, t)
 			}
 		}
 	}
@@ -249,7 +253,7 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 		m.sample(MetricDiagOutliers, nil, float64(len(distinct)))
 		m.header(MetricDiagCohorts, "Rank-similarity cohorts detected in each phase.", "gauge")
 		for _, pd := range rep.Phases {
-			m.sample(MetricDiagCohorts, []string{label("phase", strconv.Itoa(pd.Phase))}, float64(len(pd.Cohorts)))
+			m.sample(MetricDiagCohorts, []string{Label("phase", strconv.Itoa(pd.Phase))}, float64(len(pd.Cohorts)))
 		}
 		m.header(MetricDiagScore, "Divergence score (pooled-scatter units) of each finding.", "gauge")
 		for _, f := range rep.Findings {
@@ -257,9 +261,9 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 			if f.RankLabel != "" {
 				rank = f.RankLabel
 			}
-			lbls := []string{label("rank", rank), label("phase", strconv.Itoa(f.Phase))}
+			lbls := []string{Label("rank", rank), Label("phase", strconv.Itoa(f.Phase))}
 			if len(f.Dominant) > 0 {
-				lbls = append(lbls, label("dominant", f.Dominant[0].Dimension))
+				lbls = append(lbls, Label("dominant", f.Dominant[0].Dimension))
 			}
 			m.sample(MetricDiagScore, lbls, f.Score)
 		}

@@ -325,15 +325,6 @@ func (c *Comm) Sendrecv(dst, sendBytes, src, tag int) (recvBytes int, err error)
 	return c.Recv(src, tag)
 }
 
-// SendrecvData is Sendrecv with payloads.
-func (c *Comm) SendrecvData(dst, sendBytes int, sendPayload any, src, tag int) (recvPayload any, err error) {
-	if err := c.SendData(dst, tag, sendBytes, sendPayload); err != nil {
-		return nil, err
-	}
-	_, recvPayload, err = c.RecvData(src, tag)
-	return recvPayload, err
-}
-
 // collective runs one rendezvous with exit time max(arrivals) + cost and
 // records the rank's time in it under the activity, contributing value to
 // the round's global sum.

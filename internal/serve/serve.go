@@ -151,38 +151,33 @@ func LorenzHandler(src Source) http.HandlerFunc {
 }
 
 // TimelineHandler serves the windowed imbalance trajectory of the
-// snapshot; window is the configured window width echoed in the payload
-// (0 when windowing is disabled). A source whose width is only known at
-// scrape time — the federation merger inherits it from its endpoints —
-// passes 0 and the snapshot's own series width is echoed instead.
-func TimelineHandler(src Source, window float64) http.HandlerFunc {
+// snapshot, echoing the width of the snapshot's window series (0 when
+// windowing is disabled). The width is read per request, so a federator
+// whose merged width changes serves the new one.
+func TimelineHandler(src Source) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := src.Snapshot()
-		if window == 0 && snap.Series != nil {
-			window = snap.Series.Window
-		}
 		if serveCached(w, r, snap) {
 			return
 		}
-		p := timelinePayload{
-			Window:  window,
-			Windows: snap.Windows,
-		}
-		if snap.Series != nil && snap.Series.CoarseWindow > 0 {
-			p.CoarseWindow = snap.Series.CoarseWindow
-			p.RingStart = snap.Series.RingStart
-			p.Coarse = snap.Coarse
+		p := timelinePayload{Windows: snap.Windows}
+		if s := snap.Series; s != nil {
+			p.Window = s.Window
+			if s.CoarseWindow > 0 {
+				p.CoarseWindow = s.CoarseWindow
+				p.RingStart = s.RingStart
+				p.Coarse = snap.Coarse
+			}
 		}
 		writeJSON(w, r, p)
 	}
 }
 
 // WindowsHandler serves the snapshot's raw window series — per-window
-// per-processor busy vectors rather than summaries. This is the document
-// the federation layer scrapes and merges (when the binary /delta path is
-// unavailable): summaries cannot be combined across jobs, busy vectors
-// can, so cluster-wide per-window indices come out exact. It answers 503
-// while windowing is disabled.
+// per-processor busy vectors rather than summaries — as JSON for people
+// and tools. Summaries cannot be combined across jobs, busy vectors can:
+// the federation layer merges the same series, which it receives over
+// /delta. It answers 503 while windowing is disabled.
 func WindowsHandler(src Source) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := src.Snapshot()
@@ -253,11 +248,9 @@ type Option func(*config)
 
 type config struct {
 	ingest        *monitor.IngestServer
-	window        float64
 	health        http.HandlerFunc
 	index         http.HandlerFunc
 	metricsPrefix func(w io.Writer)
-	pprof         bool
 	rebalance     RebalanceSource
 }
 
@@ -271,12 +264,6 @@ type RebalanceSource interface {
 // /metrics exposition (the loadimb_ingest_* families).
 func WithIngest(s *monitor.IngestServer) Option {
 	return func(cfg *config) { cfg.ingest = s }
-}
-
-// WithWindow sets the configured window width echoed by /timeline.json;
-// 0 (the default) echoes the snapshot's own series width.
-func WithWindow(w float64) Option {
-	return func(cfg *config) { cfg.window = w }
 }
 
 // WithHealth replaces the default always-200 /healthz with a custom
@@ -295,11 +282,6 @@ func WithIndex(h http.HandlerFunc) Option {
 // scrape-state gauges use this).
 func WithMetricsPrefix(f func(w io.Writer)) Option {
 	return func(cfg *config) { cfg.metricsPrefix = f }
-}
-
-// WithPprof mounts the Go runtime profile endpoints under /debug/pprof/.
-func WithPprof() Option {
-	return func(cfg *config) { cfg.pprof = true }
 }
 
 // WithRebalance mounts /rebalance.json over the controller's statistics
@@ -321,7 +303,7 @@ func RebalanceHandler(src RebalanceSource) http.HandlerFunc {
 // writeRebalanceMetrics writes the loadimb_rebalance_* Prometheus
 // families for the controller's current statistics.
 func writeRebalanceMetrics(w io.Writer, s rebalance.Stats) {
-	label := fmt.Sprintf("{policy=%q}", s.Policy)
+	label := "{" + monitor.Label("policy", s.Policy) + "}"
 	fmt.Fprintf(w, "# HELP loadimb_rebalance_rounds_total Boundaries at which the controller planned migrations.\n")
 	fmt.Fprintf(w, "# TYPE loadimb_rebalance_rounds_total counter\n")
 	fmt.Fprintf(w, "loadimb_rebalance_rounds_total%s %d\n", label, s.Rounds)
@@ -408,7 +390,7 @@ func Mux(src Source, opts ...Option) *http.ServeMux {
 	}
 	mux.Handle("/cube.json", CubeHandler(src))
 	mux.Handle("/lorenz.json", LorenzHandler(src))
-	mux.Handle("/timeline.json", TimelineHandler(src, cfg.window))
+	mux.Handle("/timeline.json", TimelineHandler(src))
 	mux.Handle("/windows.json", WindowsHandler(src))
 	mux.Handle("/phases.json", PhasesHandler(src))
 	mux.Handle("/diagnose.json", DiagnoseHandler(src))
@@ -427,24 +409,22 @@ func Mux(src Source, opts ...Option) *http.ServeMux {
 		}
 		index(w, r)
 	})
-	if cfg.pprof {
-		// Explicit pprof wiring: the handler set must work on any mux,
-		// not just http.DefaultServeMux.
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	return mux
 }
 
 // NewHandler returns the monitoring endpoint set for a live collector:
 // Mux over the collector plus the embedded dashboard at "/" and the
-// pprof profiles of the monitored process.
+// pprof profiles of the monitored process under /debug/pprof/.
 func NewHandler(c *monitor.Collector, opts ...Option) http.Handler {
-	base := []Option{WithWindow(c.Window()), WithPprof()}
-	return Mux(c, append(base, opts...)...)
+	mux := Mux(c, opts...)
+	// Explicit pprof wiring: the handler set must work on any mux, not
+	// just http.DefaultServeMux.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // lorenzPayload is the /lorenz.json document.

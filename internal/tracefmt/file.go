@@ -10,7 +10,8 @@ import (
 
 // OpenCube reads a cube from the named file, selecting the format by
 // extension: ".json" is the JSON format, ".csv" the CSV interchange
-// format, anything else the binary LIMB format.
+// format, anything else (conventionally ".limb") a binary cube file,
+// which is a LIFP full document (see ReadCube).
 func OpenCube(path string) (*trace.Cube, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -3,9 +3,10 @@ package tracefmt
 // This file defines the binary event *wire* protocol: the format producers
 // (instrumented programs, possibly not written in Go) use to stream trace
 // events over a socket into a live collector (internal/monitor's ingest
-// listener). It is a streaming format — unlike the LIMB cube file, which
-// holds a finished aggregation, a wire stream carries raw events in
-// arrival order and never ends until the connection closes.
+// listener). It is a streaming format — unlike a binary cube file (a LIFP
+// document, see delta.go), which holds a finished aggregation, a wire
+// stream carries raw events in arrival order and never ends until the
+// connection closes.
 //
 // # Stream layout
 //
@@ -68,10 +69,13 @@ package tracefmt
 //	           | uvarint(index+1)                // known: table reference
 //
 // A name is transmitted once and referenced by index (1 byte for the
-// first 127 names) afterwards. Tables are bounded (MaxWireStrings entries,
-// maxWireTableBytes total) so a hostile stream cannot grow decoder state
-// without limit; an encoder that overflows the table errors out, which in
-// practice means the producer is generating unbounded distinct names.
+// first 127 names) afterwards. Tables are bounded (names of at most
+// maxNameLen bytes, MaxWireStrings entries, maxWireTableBytes total) so a
+// hostile stream cannot grow decoder state without limit. The encoder
+// enforces the same bounds, so it errors out instead of sending a stream
+// its decoder would reject; in practice that means the producer is
+// generating unbounded distinct names. LIFP documents use the same codec
+// (nameEncoder and nameDecoder below).
 //
 // # Rank deltas
 //
@@ -133,32 +137,18 @@ type WireEncoder struct {
 	w          io.Writer
 	started    bool
 	err        error
-	regions    map[string]uint64
-	activities map[string]uint64
+	regions    nameEncoder
+	activities nameEncoder
 	prevRank   int64
 	prevStart  uint64 // IEEE-754 bits of the previous event's start
 	scratch    []byte // frame body assembly buffer
 	hdr        []byte // frame header assembly buffer
-
-	// lastRegion/lastActivity memoize the previous event's name and its
-	// wire reference: real streams repeat the same names in long runs, so
-	// the hot path is a string comparison (usually a pointer equality)
-	// instead of a map lookup. A zero ref marks the memo invalid — 0 is
-	// never a table reference (references are index+1).
-	lastRegion      string
-	lastRegionRef   uint64
-	lastActivity    string
-	lastActivityRef uint64
 }
 
 // NewWireEncoder returns an encoder writing the wire protocol to w. The
 // handshake is emitted in front of the first frame.
 func NewWireEncoder(w io.Writer) *WireEncoder {
-	return &WireEncoder{
-		w:          w,
-		regions:    make(map[string]uint64),
-		activities: make(map[string]uint64),
-	}
+	return &WireEncoder{w: w}
 }
 
 // EncodeBatch writes one or more event frames carrying the batch, in
@@ -228,12 +218,12 @@ func (enc *WireEncoder) encodeFrame(events []trace.Event) error {
 		payload = binary.AppendUvarint(payload, zigzag(rank-enc.prevRank))
 		enc.prevRank = rank
 		var err error
-		if payload, err = enc.ref(payload, enc.regions, e.Region, &enc.lastRegion, &enc.lastRegionRef); err != nil {
+		if payload, err = enc.regions.appendRef(payload, e.Region); err != nil {
 			enc.scratch = payload[:0]
 			enc.err = err
 			return err
 		}
-		if payload, err = enc.ref(payload, enc.activities, e.Activity, &enc.lastActivity, &enc.lastActivityRef); err != nil {
+		if payload, err = enc.activities.appendRef(payload, e.Activity); err != nil {
 			enc.scratch = payload[:0]
 			enc.err = err
 			return err
@@ -275,30 +265,6 @@ func (enc *WireEncoder) flushFrame(payload []byte, count uint64) error {
 	return nil
 }
 
-// ref appends the string reference for name, interning it in table on
-// first use and keeping the (last, lastRef) memo current.
-func (enc *WireEncoder) ref(dst []byte, table map[string]uint64, name string, last *string, lastRef *uint64) ([]byte, error) {
-	if *lastRef != 0 && name == *last {
-		return binary.AppendUvarint(dst, *lastRef), nil
-	}
-	if idx, ok := table[name]; ok {
-		*last, *lastRef = name, idx+1
-		return binary.AppendUvarint(dst, idx+1), nil
-	}
-	if len(name) > maxNameLen {
-		return dst, fmt.Errorf("%w: name %d bytes exceeds %d", ErrWire, len(name), maxNameLen)
-	}
-	if len(table) >= MaxWireStrings {
-		return dst, fmt.Errorf("%w: string table full (%d names)", ErrWire, MaxWireStrings)
-	}
-	idx := uint64(len(table))
-	table[name] = idx
-	*last, *lastRef = name, idx+1
-	dst = binary.AppendUvarint(dst, 0)
-	dst = binary.AppendUvarint(dst, uint64(len(name)))
-	return append(dst, name...), nil
-}
-
 // WireDecoder decodes an event wire stream. It is not safe for concurrent
 // use; a connection has one decoder. Arbitrary input never panics: every
 // structural violation returns an error wrapping ErrWire (or ErrBadMagic /
@@ -308,9 +274,8 @@ type WireDecoder struct {
 	br         *bufio.Reader
 	started    bool
 	version    uint64
-	regions    []string
-	activities []string
-	tableBytes [2]int
+	regions    nameDecoder
+	activities nameDecoder
 	prevRank   int64
 	prevStart  uint64
 	frame      []byte // reused frame body buffer
@@ -401,10 +366,10 @@ func (d *WireDecoder) decodeFrame(dst []trace.Event, body []byte) ([]trace.Event
 		}
 		d.prevRank += unzigzag(u)
 		e.Rank = int(d.prevRank)
-		if e.Region, body, err = d.takeRef(body, &d.regions, 0); err != nil {
+		if e.Region, body, err = d.regions.take(body); err != nil {
 			return dst, err
 		}
-		if e.Activity, body, err = d.takeRef(body, &d.activities, 1); err != nil {
+		if e.Activity, body, err = d.activities.take(body); err != nil {
 			return dst, err
 		}
 		if u, body, err = takeUvarint(body); err != nil {
@@ -425,39 +390,92 @@ func (d *WireDecoder) decodeFrame(dst []trace.Event, body []byte) ([]trace.Event
 	return dst, nil
 }
 
-// takeRef decodes one string reference against the given intern table
-// (which == 0 selects the region byte budget, 1 the activity one).
-func (d *WireDecoder) takeRef(body []byte, table *[]string, which int) (string, []byte, error) {
+// nameEncoder is one append-only intern table of the string-reference
+// codec LIWP and LIFP share (see "String interning" above). It memoizes
+// the last name it referenced: real streams repeat the same names in long
+// runs, so the hot path is a string comparison (usually a pointer
+// equality) instead of a map lookup. The zero value is an empty table.
+type nameEncoder struct {
+	index   map[string]uint64 // name -> table index
+	bytes   int               // interned name bytes
+	last    string
+	lastRef uint64 // reference of last; 0 (never a reference) marks no memo
+}
+
+// appendRef appends the reference for name to dst, interning the name on
+// first use. It fails, appending nothing, when the name would break a
+// table bound the decoder enforces.
+func (t *nameEncoder) appendRef(dst []byte, name string) ([]byte, error) {
+	if t.lastRef != 0 && name == t.last {
+		return binary.AppendUvarint(dst, t.lastRef), nil
+	}
+	if idx, ok := t.index[name]; ok {
+		t.last, t.lastRef = name, idx+1
+		return binary.AppendUvarint(dst, idx+1), nil
+	}
+	if err := checkIntern(len(t.index), t.bytes, uint64(len(name))); err != nil {
+		return dst, err
+	}
+	if t.index == nil {
+		t.index = make(map[string]uint64)
+	}
+	idx := uint64(len(t.index))
+	t.index[name] = idx
+	t.bytes += len(name)
+	t.last, t.lastRef = name, idx+1
+	dst = binary.AppendUvarint(dst, 0)
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	return append(dst, name...), nil
+}
+
+// nameDecoder is the decoding side of one intern table.
+type nameDecoder struct {
+	names []string
+	bytes int // interned name bytes
+}
+
+// take decodes the string reference at the front of body and returns the
+// name and the rest of body.
+func (t *nameDecoder) take(body []byte) (string, []byte, error) {
 	ref, body, err := takeUvarint(body)
 	if err != nil {
 		return "", body, fmt.Errorf("%w: string ref: %v", ErrWire, err)
 	}
 	if ref > 0 {
-		if ref > uint64(len(*table)) {
-			return "", body, fmt.Errorf("%w: string ref %d beyond table of %d", ErrWire, ref, len(*table))
+		if ref > uint64(len(t.names)) {
+			return "", body, fmt.Errorf("%w: string ref %d beyond table of %d", ErrWire, ref, len(t.names))
 		}
-		return (*table)[ref-1], body, nil
+		return t.names[ref-1], body, nil
 	}
 	n, body, err := takeUvarint(body)
 	if err != nil {
 		return "", body, fmt.Errorf("%w: string length: %v", ErrWire, err)
 	}
-	if n > maxNameLen {
-		return "", body, fmt.Errorf("%w: string length %d", ErrWire, n)
+	if err := checkIntern(len(t.names), t.bytes, n); err != nil {
+		return "", body, err
 	}
 	if uint64(len(body)) < n {
 		return "", body, fmt.Errorf("%w: string body truncated", ErrWire)
 	}
-	if len(*table) >= MaxWireStrings {
-		return "", body, fmt.Errorf("%w: string table full", ErrWire)
-	}
-	if d.tableBytes[which]+int(n) > maxWireTableBytes {
-		return "", body, fmt.Errorf("%w: string table byte budget exceeded", ErrWire)
-	}
 	s := string(body[:n])
-	*table = append(*table, s)
-	d.tableBytes[which] += int(n)
+	t.names = append(t.names, s)
+	t.bytes += int(n)
 	return s, body[n:], nil
+}
+
+// checkIntern reports whether a table of count names holding size bytes
+// may intern one more name of n bytes. Encoder and decoder share it, so a
+// stream the encoder produces never breaks a bound the decoder checks.
+func checkIntern(count, size int, n uint64) error {
+	switch {
+	case n > maxNameLen:
+		return fmt.Errorf("%w: name %d bytes exceeds %d", ErrWire, n, maxNameLen)
+	case count >= MaxWireStrings:
+		return fmt.Errorf("%w: string table full (%d names)", ErrWire, MaxWireStrings)
+	case size+int(n) > maxWireTableBytes:
+		return fmt.Errorf("%w: string table byte budget exceeded", ErrWire)
+	}
+	return nil
 }
 
 // takeUvarint reads one uvarint from the front of body.

@@ -3,9 +3,11 @@ package tracefmt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"loadimb/internal/trace"
@@ -278,6 +280,32 @@ func TestWireFrameSplit(t *testing.T) {
 	for i := range events {
 		if got[i] != events[i] {
 			t.Fatalf("event %d corrupted across the split: got %+v, want %+v", i, got[i], events[i])
+		}
+	}
+}
+
+// TestWireEncoderEnforcesTableBudget: once distinct names fill the
+// table's byte budget, the encoder refuses the next new name with ErrWire
+// instead of sending it. Everything it did send decodes cleanly, where
+// before the decoder dropped the stream with "byte budget exceeded".
+func TestWireEncoderEnforcesTableBudget(t *testing.T) {
+	const fit = maxWireTableBytes / maxNameLen // maximum-length names that fit
+	events := make([]trace.Event, fit+8)
+	for i := range events {
+		name := fmt.Sprintf("%08d", i) + strings.Repeat("r", maxNameLen-8)
+		events[i] = trace.Event{Region: name, Activity: "a", Start: float64(i), End: float64(i) + 1}
+	}
+	var buf bytes.Buffer
+	if err := NewWireEncoder(&buf).EncodeBatch(events); !errors.Is(err, ErrWire) {
+		t.Fatalf("encoding %d names of %d bytes: err = %v, want ErrWire", len(events), maxNameLen, err)
+	}
+	got := decodeAll(t, &buf)
+	if len(got) == 0 || len(got) > fit {
+		t.Fatalf("decoded %d events, want 1..%d", len(got), fit)
+	}
+	for i := range got {
+		if got[i] != events[i] {
+			t.Fatalf("event %d changed in transit", i)
 		}
 	}
 }
