@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -112,6 +113,55 @@ func TestReadCubeHugeDimensions(t *testing.T) {
 	buf.Write([]byte{1, 0, 0, 0})
 	if _, err := ReadCube(&buf); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("huge dims err = %v", err)
+	}
+}
+
+// TestReadCubeCellBudget: a well-formed cube file that declares a
+// 1x1x2^26 cube with no cells is refused as ErrCorrupt before the cube
+// is allocated. (TestReadCubeHugeDimensions's bytes now stop at the
+// document kind.)
+func TestReadCubeCellBudget(t *testing.T) {
+	doc := "LIFP\x01\x01\x00\x00" + // magic, version, full, boot 0, gen 0
+		"\x01\x01\x01\x80\x80\x80\x20" + // cube present, N=1, K=1, P=2^26
+		"\x00\x01r\x00\x01a" + // region "r", activity "a"
+		"\x00\x00\x00" // program time 0, no cells, no series
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCube(strings.NewReader(doc))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("reading allocated %d bytes, want < 1 MiB", alloc)
+	}
+}
+
+// TestBinaryRoundTripSparse: the one-hot profile at severity 1 puts all
+// time on one processor, so tracegen's default 8x4 shape at 4,096
+// processors (131,072 cells) has 32 nonzero cells and a file of under
+// 200 bytes. A file WriteCube writes must read back.
+func TestBinaryRoundTripSparse(t *testing.T) {
+	spec := workload.Uniform(8, 4, 4096)
+	spec.Profile = workload.OneHotProfile{}
+	spec.Severity = 1
+	cube, err := workload.Synthesize(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteCube(&buf, cube); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() >= 200 {
+		t.Fatalf("file is %d bytes, want a sparse encoding under 200", buf.Len())
+	}
+	got, err := ReadCube(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cube.EqualWithin(got, 0) {
+		t.Error("binary round trip changed the cube")
 	}
 }
 
