@@ -77,24 +77,15 @@ func New(log *trace.Log, opts Options) (*Timeline, error) {
 	// Stable activity order: first appearance. Two Each passes instead of
 	// one Events() call: renderers are called repeatedly over large logs,
 	// and Events copies the whole backing slice per call.
-	var names []string
-	var tooMany error
-	nameIdx := map[string]int{}
+	var acts trace.Names
 	log.Each(func(e trace.Event) {
-		if len(allowed) > 0 && !allowed[e.Activity] {
-			return
-		}
-		if _, ok := nameIdx[e.Activity]; !ok {
-			if len(names) >= len(letters) {
-				tooMany = fmt.Errorf("timeline: more than %d activities", len(letters))
-				return
-			}
-			nameIdx[e.Activity] = len(names)
-			names = append(names, e.Activity)
+		if len(allowed) == 0 || allowed[e.Activity] {
+			acts.Index(e.Activity)
 		}
 	})
-	if tooMany != nil {
-		return nil, tooMany
+	names := acts.List()
+	if len(names) > len(letters) {
+		return nil, fmt.Errorf("timeline: more than %d activities", len(letters))
 	}
 	if len(names) == 0 {
 		return nil, errors.New("timeline: no events match the activity filter")
@@ -113,7 +104,7 @@ func New(log *trace.Log, opts Options) (*Timeline, error) {
 		if len(allowed) > 0 && !allowed[e.Activity] {
 			return
 		}
-		j := nameIdx[e.Activity]
+		j := acts.Index(e.Activity)
 		start, end := e.Start, e.End
 		if end <= from || start >= to {
 			return

@@ -114,16 +114,23 @@ func (l *Log) AggregateProcs(regionOrder, activityOrder []string, procs int) (*C
 	if r := l.Ranks(); r > procs {
 		procs = r
 	}
-	regions := orderedNames(regionOrder, l.events, func(e Event) string { return e.Region })
-	activities := orderedNames(activityOrder, l.events, func(e Event) string { return e.Activity })
-	cube, err := NewCube(regions, activities, procs)
+	var regions, activities Names
+	for _, r := range regionOrder {
+		regions.Index(r)
+	}
+	for _, a := range activityOrder {
+		activities.Index(a)
+	}
+	for _, e := range l.events {
+		regions.Index(e.Region)
+		activities.Index(e.Activity)
+	}
+	cube, err := NewCube(regions.List(), activities.List(), procs)
 	if err != nil {
 		return nil, err
 	}
-	ri := indexMap(regions)
-	ai := indexMap(activities)
 	for _, e := range l.events {
-		if err := cube.Add(ri[e.Region], ai[e.Activity], e.Rank, e.Duration()); err != nil {
+		if err := cube.Add(regions.Index(e.Region), activities.Index(e.Activity), e.Rank, e.Duration()); err != nil {
 			return nil, err
 		}
 	}
@@ -135,33 +142,6 @@ func (l *Log) AggregateProcs(regionOrder, activityOrder []string, procs int) (*C
 		}
 	}
 	return cube, nil
-}
-
-func orderedNames(order []string, events []Event, key func(Event) string) []string {
-	var names []string
-	seen := make(map[string]bool)
-	for _, n := range order {
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
-	for _, e := range events {
-		n := key(e)
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
-func indexMap(names []string) map[string]int {
-	m := make(map[string]int, len(names))
-	for i, n := range names {
-		m[n] = i
-	}
-	return m
 }
 
 // SortByStart orders events by start time, breaking ties by rank then

@@ -46,30 +46,21 @@ func Federate(jobs []JobCube) (*Cube, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("trace: no cubes to federate")
 	}
-	var regions, activities []string
-	rIdx := make(map[string]int)
-	aIdx := make(map[string]int)
+	var regions, activities Names
 	procs := 0
 	for k, job := range jobs {
 		if job.Cube == nil {
 			return nil, fmt.Errorf("trace: federated job %d (%q) has a nil cube", k, job.Label)
 		}
 		for _, r := range job.Cube.regions {
-			name := job.qualified(r)
-			if _, ok := rIdx[name]; !ok {
-				rIdx[name] = len(regions)
-				regions = append(regions, name)
-			}
+			regions.Index(job.qualified(r))
 		}
 		for _, a := range job.Cube.activities {
-			if _, ok := aIdx[a]; !ok {
-				aIdx[a] = len(activities)
-				activities = append(activities, a)
-			}
+			activities.Index(a)
 		}
 		procs += job.Cube.procs
 	}
-	out, err := NewCube(regions, activities, procs)
+	out, err := NewCube(regions.List(), activities.List(), procs)
 	if err != nil {
 		return nil, err
 	}
@@ -78,9 +69,9 @@ func Federate(jobs []JobCube) (*Cube, error) {
 	for _, job := range jobs {
 		c := job.Cube
 		for i, r := range c.regions {
-			fi := rIdx[job.qualified(r)]
+			fi := regions.Index(job.qualified(r))
 			for j, a := range c.activities {
-				fj := aIdx[a]
+				fj := activities.Index(a)
 				for p, t := range c.times[i][j] {
 					out.times[fi][fj][offset+p] += t
 				}
