@@ -130,7 +130,7 @@ func parseArgs(args []string) (*daemon, error) {
 	fs.Float64Var(&d.slowFac, "slow-factor", 0, "computation multiplier of -slow-rank; 0 disables the injection")
 	fs.Float64Var(&d.window, "window", 5, "temporal window width in virtual seconds (0 = off)")
 	fs.IntVar(&d.windowCap, "window-cap", temporal.DefaultWindowCap,
-		"max full-resolution windows retained; older windows decimate 2:1 into a coarse tail (<= 0 = unbounded)")
+		"max full-resolution windows retained; older windows decimate 2:1 into a coarse tail (<= 0 = unbounded, where one event's fold work grows with its span: only safe without -ingest)")
 	fs.Float64Var(&d.penalty, "phase-penalty", 0, "segmentation penalty for live phase detection (<= 0 = automatic)")
 	fs.StringVar(&d.rebPolicy, "rebalance", "", "adaptive rebalancing policy: reactive or predictive (cfd, masterworker, amr); empty disables")
 	fs.Float64Var(&d.rebTarget, "rebalance-target", 0.1, "ID_P the rebalancer drives toward")
