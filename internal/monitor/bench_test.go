@@ -83,7 +83,7 @@ func BenchmarkRecordBatch(b *testing.B) {
 		}
 		p.RecordBatch(batch[:k])
 		n += k
-		if p.Pending() > 1<<15 {
+		if p.tail.Load()-p.head.Load() > 1<<15 {
 			b.StopTimer()
 			c.Fold()
 			b.StartTimer()

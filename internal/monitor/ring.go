@@ -181,9 +181,6 @@ func (p *Producer) Dropped() uint64 { return p.dropped.Load() }
 // mode).
 func (p *Producer) Stalls() uint64 { return p.stalls.Load() }
 
-// Pending returns the number of events currently buffered in the ring.
-func (p *Producer) Pending() int { return int(p.tail.Load() - p.head.Load()) }
-
 // Close marks the producer finished. The producing goroutine must not
 // publish after Close; the collector drains whatever is still in the ring
 // at the next fold and then unregisters the handle.

@@ -54,34 +54,6 @@ func TestFoldPerRegionOffByDefault(t *testing.T) {
 	}
 }
 
-func TestRegionSeriesProjection(t *testing.T) {
-	f := NewFold(Options{Window: 1.0, PerRegion: true, Procs: 3})
-	f.Add(regionEvent(0, "solve", "computation", 0, 1))
-	f.Add(regionEvent(1, "halo", "p2p", 0, 0.25))
-	f.Add(regionEvent(2, "solve", "computation", 1, 1.75))
-	ser := f.Series()
-	proj := ser.RegionSeries("solve")
-	if proj.Procs != 3 || len(proj.Windows) != 2 {
-		t.Fatalf("projection shape: procs=%d windows=%d", proj.Procs, len(proj.Windows))
-	}
-	if !reflect.DeepEqual(proj.Windows[0].ProcSeconds, []float64{1, 0, 0}) {
-		t.Errorf("solve window 0 = %v", proj.Windows[0].ProcSeconds)
-	}
-	if !reflect.DeepEqual(proj.Windows[1].ProcSeconds, []float64{0, 0, 0.75}) {
-		t.Errorf("solve window 1 = %v", proj.Windows[1].ProcSeconds)
-	}
-	// A region absent from a window projects to all zeros there, keeping
-	// the trajectory aligned with the aggregate (null-ID idle semantics).
-	halo := ser.RegionSeries("halo")
-	if !reflect.DeepEqual(halo.Windows[1].ProcSeconds, []float64{0, 0, 0}) {
-		t.Errorf("halo window 1 = %v", halo.Windows[1].ProcSeconds)
-	}
-	st := halo.Stats()
-	if st[1].ID != nil {
-		t.Errorf("halo window 1 ID = %v, want null", *st[1].ID)
-	}
-}
-
 func TestMergePerRegionNamespacing(t *testing.T) {
 	mk := func(region string, busy float64) *Series {
 		return &Series{

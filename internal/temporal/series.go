@@ -193,18 +193,6 @@ func (s *Series) dimNames(get func(*WindowVector) map[string][]float64) []string
 // activity sat out gets a null ID, the idle semantics). The projection
 // is what per-activity phase segmentation runs on.
 func (s *Series) ActivitySeries(name string) *Series {
-	return s.project(name, func(v *WindowVector) map[string][]float64 { return v.PerActivity })
-}
-
-// RegionSeries projects the series onto one code region, with the same
-// alignment semantics as ActivitySeries.
-func (s *Series) RegionSeries(name string) *Series {
-	return s.project(name, func(v *WindowVector) map[string][]float64 { return v.PerRegion })
-}
-
-// project builds the single-dimension projection shared by
-// ActivitySeries and RegionSeries.
-func (s *Series) project(name string, get func(*WindowVector) map[string][]float64) *Series {
 	if s == nil {
 		return nil
 	}
@@ -213,7 +201,7 @@ func (s *Series) project(name string, get func(*WindowVector) map[string][]float
 	for i := range s.Windows {
 		v := &s.Windows[i]
 		w := WindowVector{Index: v.Index, Events: v.Events}
-		if vec, ok := get(v)[name]; ok {
+		if vec, ok := v.PerActivity[name]; ok {
 			w.ProcSeconds = append([]float64(nil), vec...)
 		} else {
 			w.ProcSeconds = make([]float64, s.Procs)
