@@ -837,10 +837,11 @@ func BenchmarkStreamSegment(b *testing.B) {
 
 // BenchmarkDiagnose measures the automatic diagnosis engine on a
 // 256-rank, 8-phase synthetic series — a federated-scale input — from
-// fingerprinting through clustering to scored findings. The live monitor
-// recomputes the report once per fold generation (memoized on the
-// snapshot), so one iteration here bounds the marginal cost a scrape of
-// /diagnose.json can add; it must stay well under a scrape interval.
+// fingerprinting through clustering to scored findings. It runs
+// diagnose.Diagnose from scratch; the live monitor re-clusters only the
+// phases a new fold generation changed (diagnose.Memo), so one iteration
+// here bounds the marginal cost a scrape of /diagnose.json can add; it
+// must stay well under a scrape interval.
 func BenchmarkDiagnose(b *testing.B) {
 	const (
 		procs        = 256

@@ -24,9 +24,11 @@
 package diagnose
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"loadimb/internal/cluster"
 	"loadimb/internal/temporal"
@@ -197,8 +199,50 @@ type Report struct {
 // Diagnose clusters per-rank fingerprints phase by phase and reports
 // diverged ranks. phases must be a segmentation of ser's own trajectory
 // (Segment output over ser.Stats(), or the live path's summarized
-// phases); opts zero value serves the defaults.
+// phases); opts zero value serves the defaults. It is the from-scratch
+// computation: Memo.Diagnose on an empty memo.
 func Diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options) *Report {
+	return new(Memo).Diagnose(ser, phases, opts)
+}
+
+// Memo carries per-phase diagnoses from one call of its Diagnose to the
+// next, so a publisher re-diagnosing a grown series clusters only the
+// phases whose fingerprints changed. Each phase's result is keyed on the
+// exact inputs its clustering reads — the fingerprint matrix bytes, the
+// dimensions, the options and the ranks' labels — so a hit is exact by
+// construction and nothing needs invalidating: a late event, a
+// decimation or a moved boundary changes the key. The memo keeps only
+// the entries its last two phase-diagnosing calls used. The zero value
+// is ready to use, a nil *Memo acts as an empty one, and either gives
+// reports identical to Diagnose. Reports of one memo share the cached cohorts
+// and contributions, so callers treat reports as read-only. Safe for
+// concurrent use: the clustering runs outside the lock.
+type Memo struct {
+	mu sync.Mutex
+	// last holds the entries the most recent call used, prev those of
+	// the call before it.
+	last, prev map[string]*phaseResult
+}
+
+// phaseResult is one phase's clustering, independent of the phase's
+// ordinal and bounds: findings leave Phase, Start, End and Summary
+// unset.
+type phaseResult struct {
+	// key is the memo key the result is stored under, kept so a hit
+	// re-files it without copying the key again.
+	key        string
+	cohorts    []Cohort
+	silhouette float64
+	scale      float64
+	findings   []Finding
+}
+
+// Diagnose is the package Diagnose, reusing the per-phase results of
+// the memo's earlier calls whose inputs recur.
+func (m *Memo) Diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options) *Report {
+	if m == nil {
+		m = new(Memo)
+	}
 	rep := &Report{}
 	if ser == nil {
 		return rep
@@ -209,6 +253,9 @@ func Diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options) *Repo
 	if ser.Procs < 2 || len(phases) == 0 || len(rep.Dimensions) == 0 {
 		return rep
 	}
+	key := keyPrefix(rep.Dimensions, opts, ser.Procs)
+	prefix := len(key)
+	used := make(map[string]*phaseResult, len(phases))
 	// Member windows are contiguous in the series: phases partition the
 	// window sequence in order, so one cursor walks it once.
 	pos := 0
@@ -220,11 +267,21 @@ func Diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options) *Repo
 		for pos < len(ser.Windows) && ser.Windows[pos].Index <= ph.LastWindow {
 			pos++
 		}
-		pd := PhaseDiagnosis{Phase: i + 1, Start: ph.Start, End: ph.End, Label: ph.Label}
 		points := fingerprints(ser, rep.Dimensions, first, pos, ph)
-		diagnosePhase(rep, &pd, points, opts)
+		key = appendPoints(key[:prefix], points)
+		res := m.phase(used, key, points, rep.Dimensions, opts)
+		pd := PhaseDiagnosis{Phase: i + 1, Start: ph.Start, End: ph.End, Label: ph.Label,
+			Cohorts: res.cohorts, Silhouette: res.silhouette, Scale: res.scale}
+		for _, f := range res.findings {
+			f.Phase, f.Start, f.End = pd.Phase, pd.Start, pd.End
+			f.Summary = summarize(f)
+			rep.Findings = append(rep.Findings, f)
+		}
 		rep.Phases = append(rep.Phases, pd)
 	}
+	m.mu.Lock()
+	m.prev, m.last = m.last, used
+	m.mu.Unlock()
 	sort.SliceStable(rep.Findings, func(a, b int) bool {
 		fa, fb := rep.Findings[a], rep.Findings[b]
 		if fa.Score != fb.Score {
@@ -236,6 +293,62 @@ func Diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options) *Repo
 		return fa.Rank < fb.Rank
 	})
 	return rep
+}
+
+// phase returns the clustering for key — from this call's used set,
+// the memo's last two calls, or a fresh diagnosePhase — and records it
+// in used.
+func (m *Memo) phase(used map[string]*phaseResult, key []byte, points [][]float64, dims []Dimension, opts Options) *phaseResult {
+	res, ok := used[string(key)]
+	if !ok {
+		m.mu.Lock()
+		if res, ok = m.last[string(key)]; !ok {
+			res, ok = m.prev[string(key)]
+		}
+		m.mu.Unlock()
+	}
+	if !ok {
+		res = diagnosePhase(points, dims, opts)
+		res.key = string(key)
+	}
+	used[res.key] = res
+	return res
+}
+
+// keyPrefix encodes the phase-independent part of a memo key: the
+// effective options, the dimensions and each rank's label.
+func keyPrefix(dims []Dimension, opts Options, procs int) []byte {
+	b := binary.AppendUvarint(nil, uint64(opts.maxCohorts()))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(opts.threshold()))
+	b = binary.AppendUvarint(b, uint64(opts.topDims()))
+	b = binary.AppendUvarint(b, uint64(len(dims)))
+	for _, d := range dims {
+		b = appendString(appendString(b, d.Kind), d.Name)
+	}
+	b = binary.AppendUvarint(b, uint64(procs))
+	for p := 0; p < procs; p++ {
+		label := ""
+		if p < len(opts.RankLabels) {
+			label = opts.RankLabels[p]
+		}
+		b = appendString(b, label)
+	}
+	return b
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// appendPoints appends the fingerprint matrix's bits; its shape is in
+// the key prefix.
+func appendPoints(b []byte, points [][]float64) []byte {
+	for _, p := range points {
+		for _, v := range p {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b
 }
 
 // dimensions derives the fingerprint coordinate list from what the
@@ -293,9 +406,9 @@ func fingerprints(ser *temporal.Series, dims []Dimension, first, last int, ph te
 	return points
 }
 
-// diagnosePhase clusters one phase's fingerprints into pd and appends
-// the phase's findings to rep.
-func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Options) {
+// diagnosePhase clusters one phase's fingerprints.
+func diagnosePhase(points [][]float64, dims []Dimension, opts Options) *phaseResult {
+	out := &phaseResult{}
 	// An all-idle phase has no behavior to compare: one empty-handed
 	// cohort of everyone, no findings.
 	allZero := true
@@ -308,8 +421,8 @@ func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Opt
 		}
 	}
 	if allZero {
-		pd.Cohorts = []Cohort{{Ranks: rankList(len(points)), Centroid: make([]float64, len(rep.Dimensions))}}
-		return
+		out.cohorts = []Cohort{{Ranks: rankList(len(points)), Centroid: make([]float64, len(dims))}}
+		return out
 	}
 	maxK := opts.maxCohorts()
 	if maxK > len(points) {
@@ -317,16 +430,16 @@ func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Opt
 	}
 	res, k, err := cluster.BestK(points, maxK, cluster.Options{})
 	if err != nil {
-		return // unreachable for validated non-empty points; degrade to no cohorts
+		return out // unreachable for validated non-empty points; degrade to no cohorts
 	}
 	dists, err := cluster.Distances(points, res.Centroids, res.Assign)
 	if err != nil {
-		return
+		return out
 	}
 	groups := res.Groups()
 	spreads, err := cluster.SpreadByCluster(dists, res.Assign, k)
 	if err != nil {
-		return
+		return out
 	}
 	// Pooled scatter over ranks in real (multi-member) cohorts, floored
 	// so perfectly tight cohorts still divide cleanly: the floor is tiny
@@ -346,7 +459,7 @@ func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Opt
 	if floor := scaleFloor(points); scale < floor {
 		scale = floor
 	}
-	pd.Scale = scale
+	out.scale = scale
 	// Cohorts largest first; order[c] maps cluster id to cohort index.
 	order := make([]int, k)
 	idx := make([]int, k)
@@ -361,7 +474,7 @@ func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Opt
 	})
 	for pos, c := range idx {
 		order[c] = pos
-		pd.Cohorts = append(pd.Cohorts, Cohort{
+		out.cohorts = append(out.cohorts, Cohort{
 			Ranks:    append([]int(nil), groups[c]...),
 			Centroid: append([]float64(nil), res.Centroids[c]...),
 			Spread:   spreads[c],
@@ -369,7 +482,7 @@ func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Opt
 	}
 	if k >= 2 {
 		if s, err := cluster.Silhouette(points, res.Assign); err == nil {
-			pd.Silhouette = s
+			out.silhouette = s
 		}
 	}
 	for p := range points {
@@ -395,9 +508,6 @@ func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Opt
 		}
 		f := Finding{
 			Rank:       p,
-			Phase:      pd.Phase,
-			Start:      pd.Start,
-			End:        pd.End,
 			Cohort:     order[ref],
 			CohortSize: len(groups[ref]),
 			Lone:       lone,
@@ -407,10 +517,10 @@ func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Opt
 		if p < len(opts.RankLabels) {
 			f.RankLabel = opts.RankLabels[p]
 		}
-		f.Dominant = attribute(points[p], res.Centroids[ref], rep.Dimensions, opts.topDims())
-		f.Summary = summarize(f)
-		rep.Findings = append(rep.Findings, f)
+		f.Dominant = attribute(points[p], res.Centroids[ref], dims, opts.topDims())
+		out.findings = append(out.findings, f)
 	}
+	return out
 }
 
 // scaleFloor is the deterministic lower bound on a phase's score scale:

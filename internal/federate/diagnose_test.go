@@ -4,12 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"loadimb/internal/diagnose"
 	"loadimb/internal/monitor"
+	"loadimb/internal/serve"
+	"loadimb/internal/temporal"
 	"loadimb/internal/trace"
 )
 
@@ -130,5 +134,97 @@ func TestFederatedDiagnoseWithoutWindows(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 503 {
 		t.Errorf("/diagnose.json without windows = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestFederatedDiagnosisMemoAcrossStaleness diagnoses one federator's
+// snapshots generation after generation while its middle endpoint goes
+// stale and comes back, which shifts the last job's rank offsets and
+// labels both ways. Every generation's memoized report must be
+// byte-identical to Diagnose from scratch on the same snapshot.
+func TestFederatedDiagnosisMemoAcrossStaleness(t *testing.T) {
+	names := []string{"jobA", "jobB", "jobC"}
+	procs := []int{4, 3, 4}
+	var collectors []*monitor.Collector
+	var failing atomic.Bool
+	var endpoints []Endpoint
+	for i, name := range names {
+		c := monitor.NewCollector(monitor.Options{Window: 1})
+		collectors = append(collectors, c)
+		h := serve.NewHandler(c)
+		if name == "jobB" {
+			inner := h
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if failing.Load() {
+					http.Error(w, "down", http.StatusServiceUnavailable)
+					return
+				}
+				inner.ServeHTTP(w, r)
+			})
+		}
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		endpoints = append(endpoints, Endpoint{Name: names[i], URL: srv.URL})
+	}
+	f, err := New(Options{Endpoints: endpoints, MaxFailures: 1, Client: testClient})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sawProcs := map[int]bool{}
+	reused := 0
+	var prev *diagnose.Report
+	for gen := 0; gen < 24; gen++ {
+		for j, c := range collectors {
+			for p := 0; p < procs[j]; p++ {
+				comp := 0.3
+				if (gen/5)%2 == 1 && p == j {
+					comp = 0.8 // a per-job straggler every other 5 windows
+				}
+				start := float64(gen)
+				c.Record(trace.Event{Rank: p, Region: "solve", Activity: "comp", Start: start, End: start + comp})
+				c.Record(trace.Event{Rank: p, Region: "halo", Activity: "comm", Start: start + comp, End: start + comp + 0.1})
+			}
+		}
+		failing.Store(gen >= 8 && gen < 14)
+		f.ScrapeAll(ctx)
+		snap := f.Snapshot()
+		if snap.DiagnosisMemo == nil {
+			t.Fatal("federated snapshot carries no diagnosis memo")
+		}
+		got := snap.Diagnosis()
+		phases := make([]temporal.Phase, len(snap.Phases))
+		for i, ps := range snap.Phases {
+			phases[i] = ps.Phase()
+		}
+		want := diagnose.Diagnose(snap.Series, phases, diagnose.Options{RankLabels: snap.RankLabels})
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotJSON) != string(wantJSON) {
+			t.Fatalf("generation %d: memoized diagnosis differs from Diagnose\n got: %s\nwant: %s", gen, gotJSON, wantJSON)
+		}
+		sawProcs[got.Procs] = true
+		if prev != nil {
+			for _, a := range got.Phases {
+				for _, b := range prev.Phases {
+					if len(a.Cohorts) > 0 && len(b.Cohorts) > 0 && &a.Cohorts[0] == &b.Cohorts[0] {
+						reused++
+					}
+				}
+			}
+		}
+		prev = got
+	}
+	if !sawProcs[11] || !sawProcs[8] {
+		t.Fatalf("rank counts seen %v, want 11 with jobB live and 8 while it was stale", sawProcs)
+	}
+	if reused == 0 {
+		t.Error("no phase was ever reused across generations")
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"loadimb/internal/diagnose"
 	"loadimb/internal/monitor"
 	"loadimb/internal/temporal"
 	"loadimb/internal/trace"
@@ -138,6 +139,9 @@ type Federator struct {
 	// snapshot publisher (another federator may scrape it), so its
 	// snapshots carry a Boot like a collector's.
 	boot uint64
+	// diag is the per-phase diagnosis cache every merged snapshot
+	// carries, so the root re-clusters only the phases that changed.
+	diag diagnose.Memo
 
 	mu     sync.Mutex
 	states []*endpointState
@@ -523,7 +527,7 @@ func (f *Federator) Snapshot() *monitor.Snapshot {
 	}
 	f.mu.Unlock()
 
-	snap := &monitor.Snapshot{Gen: gen, Boot: f.boot}
+	snap := &monitor.Snapshot{Gen: gen, Boot: f.boot, DiagnosisMemo: &f.diag}
 	if len(jobs) > 0 {
 		cube, err := trace.Federate(jobs)
 		if err != nil {

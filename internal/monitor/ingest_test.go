@@ -258,6 +258,40 @@ func TestIngestHostileEvents(t *testing.T) {
 	}
 }
 
+// TestIngestDropsEndBeyondWindowRange: a LIWP frame whose end lies past
+// window 2^62 of a windowed collector is counted as dropped at intake,
+// like a Record of it, instead of folding into the cube but no window.
+func TestIngestDropsEndBeyondWindowRange(t *testing.T) {
+	c := NewCollector(Options{Shards: 1, Window: 5})
+	srv := NewIngestServer(c, IngestOptions{})
+	addr, err := srv.Listen("tcp:127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := DialIngest("tcp:"+addr.String(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Record(trace.Event{Rank: 0, Region: "r", Activity: "a", Start: 0, End: 1e20})
+	cl.Record(trace.Event{Rank: 1, Region: "r", Activity: "a", Start: 1e20, End: 1e20})
+	cl.Record(trace.Event{Rank: 0, Region: "r", Activity: "a", Start: 0.5, End: 1})
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Events()+c.Dropped() < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Snapshot()
+	if snap.Events != 1 || snap.Dropped != 2 {
+		t.Fatalf("events=%d dropped=%d, want 1 and 2", snap.Events, snap.Dropped)
+	}
+	checkWindowsHold(t, snap, 1, 0.5)
+}
+
 // TestIngestHandleAfterClose: a connection accepted just before Close
 // swept the registry must be dropped by handle, not registered — a late
 // registration would leave a conn nothing ever closes, hanging

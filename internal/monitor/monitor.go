@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"loadimb/internal/diagnose"
 	"loadimb/internal/stats"
 	"loadimb/internal/temporal"
 	"loadimb/internal/trace"
@@ -101,6 +102,10 @@ type Collector struct {
 	shards  []shard
 	events  atomic.Uint64
 	dropped atomic.Uint64
+	// endLimit is the end time an event must stay below: +Inf without
+	// windowing, else the start of window 2^62, so the window fold's int
+	// window indices cannot overflow.
+	endLimit float64
 
 	// spare holds, per shard, the previously drained buffer awaiting
 	// reuse: the drain hands it (emptied) to the shard it came from at the
@@ -123,6 +128,9 @@ type Collector struct {
 	// fold actually changed the state, so an unchanged collector keeps
 	// re-serving the same immutable snapshot (and its memoized views).
 	gen uint64
+	// diag is the per-phase diagnosis cache every published snapshot
+	// carries, so re-diagnosing a new generation skips unchanged phases.
+	diag diagnose.Memo
 
 	snap atomic.Pointer[Snapshot]
 }
@@ -159,6 +167,10 @@ func NewCollector(opts Options) *Collector {
 		spare:   make([][]trace.Event, pow),
 		boot:    BootNonce(),
 		maxRank: maxRank,
+	}
+	c.endLimit = math.Inf(1)
+	if opts.Window > 0 {
+		c.endLimit = opts.Window * (1 << 62)
 	}
 	c.state.init(opts.Regions, opts.Activities)
 	if opts.Window > 0 {
@@ -207,9 +219,10 @@ var bootSeq atomic.Uint64
 // use and sits on the instrumented program's critical path, so it only
 // appends to a sharded buffer; the aggregation happens at Snapshot.
 // Malformed events (rank outside [0, MaxRank], empty names, end before
-// start, start before virtual time zero, non-finite timestamps) are
-// dropped and counted instead of corrupting the cube. A live run's
-// virtual clock starts at zero, so a negative start can only be an
+// start, start before virtual time zero, non-finite timestamps and, with
+// windowing on, an end at or past window 2^62, whose index an int cannot
+// hold) are dropped and counted instead of corrupting the cube. A live
+// run's virtual clock starts at zero, so a negative start can only be an
 // instrumentation bug; the shared window fold would handle it (it floors
 // into negative-index windows), but the live wire format has no place
 // for windows before the run began.
@@ -231,14 +244,15 @@ func (c *Collector) Record(e trace.Event) {
 // them (every ordered comparison against NaN is false): the wire
 // decoder reconstructs timestamps from arbitrary IEEE-754 bit patterns,
 // and a NaN duration folded into a cell would poison its accumulators
-// permanently. +Inf is caught by the MaxFloat64 test (an infinite End
+// permanently. +Inf is caught by the endLimit test (an infinite End
 // also makes the duration infinite, and an infinite Start forces an
 // infinite End). The rank bound likewise guards the fold's per-rank
-// allocations against a decoded rank no real machine has.
+// allocations against a decoded rank no real machine has, and endLimit
+// keeps the window fold's indices in int range.
 func (c *Collector) malformed(e trace.Event) bool {
 	return e.Rank < 0 || e.Rank > c.maxRank ||
 		e.Region == "" || e.Activity == "" ||
-		!(e.Start >= 0) || !(e.End >= e.Start) || e.End > math.MaxFloat64
+		!(e.Start >= 0) || !(e.End >= e.Start) || !(e.End < c.endLimit)
 }
 
 // RecordBatch folds a whole batch with batch-granular costs: events are
@@ -315,6 +329,7 @@ func (c *Collector) Snapshot() *Snapshot {
 	c.gen++
 	snap := c.state.build(c.state.folded, dropped, c.gen)
 	snap.Boot = c.boot
+	snap.DiagnosisMemo = &c.diag
 	c.snap.Store(snap)
 	return snap
 }

@@ -67,6 +67,12 @@ type Snapshot struct {
 	// federation layer sets job-namespaced labels ("job/3") before
 	// publishing, matching the merged cube's rank space.
 	RankLabels []string
+	// DiagnosisMemo is the publisher's per-phase diagnosis cache, which
+	// Diagnosis goes through so a new generation re-clusters only the
+	// phases that changed. Every snapshot of a Collector or Federator
+	// shares its publisher's memo, which is safe for concurrent use; nil
+	// (a hand-built literal) diagnoses from scratch, with the same report.
+	DiagnosisMemo *diagnose.Memo
 
 	// views memoizes the dispersion views of Cube: the first scrape of a
 	// snapshot computes them once, every later handler and endpoint reuses
@@ -142,7 +148,10 @@ func (s *Snapshot) Views() (*Views, error) {
 // same amortization as Views: while the fold generation is unchanged the
 // collector re-serves this very snapshot, so concurrent scrapes of
 // /diagnose.json, /metrics and the dashboard share one computation per
-// Gen. It returns nil when windowing is disabled.
+// Gen. Across generations DiagnosisMemo carries each phase's clustering,
+// so the computation is per changed phase: closed phases whose
+// fingerprints did not move are reused. It returns nil when windowing is
+// disabled.
 func (s *Snapshot) Diagnosis() *diagnose.Report {
 	s.diagOnce.Do(func() {
 		if s.Series == nil {
@@ -152,7 +161,7 @@ func (s *Snapshot) Diagnosis() *diagnose.Report {
 		for i, ps := range s.Phases {
 			phases[i] = ps.Phase()
 		}
-		s.diag = diagnose.Diagnose(s.Series, phases, diagnose.Options{RankLabels: s.RankLabels})
+		s.diag = s.DiagnosisMemo.Diagnose(s.Series, phases, diagnose.Options{RankLabels: s.RankLabels})
 	})
 	return s.diag
 }

@@ -99,17 +99,6 @@ type Outcome struct {
 	HypothesesTested int
 }
 
-// AtLevel returns the findings of one level.
-func (o *Outcome) AtLevel(l Level) []Finding {
-	var out []Finding
-	for _, f := range o.Findings {
-		if f.Level == l {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // Search runs the hierarchical refinement on a cube: flag heavy
 // activities of the program, refine each into the regions where it is
 // heavy, and refine each of those into overloaded processors. Refinement

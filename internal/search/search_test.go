@@ -17,6 +17,17 @@ func paperCube(t *testing.T) *trace.Cube {
 	return cube
 }
 
+// atLevel returns the findings of one level.
+func atLevel(o *Outcome, l Level) []Finding {
+	var out []Finding
+	for _, f := range o.Findings {
+		if f.Level == l {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 func TestSearchValidation(t *testing.T) {
 	if _, err := Search(nil, Config{}); err == nil {
 		t.Error("nil cube should fail")
@@ -44,7 +55,7 @@ func TestSearchOnPaperCube(t *testing.T) {
 	}
 	// Why axis: only computation exceeds 20% of the program (59%);
 	// collective is 21% — also flagged.
-	acts := out.AtLevel(ActivityLevel)
+	acts := atLevel(out, ActivityLevel)
 	if len(acts) != 2 {
 		t.Fatalf("activity findings = %+v", acts)
 	}
@@ -55,7 +66,7 @@ func TestSearchOnPaperCube(t *testing.T) {
 		t.Errorf("second activity = %d, want collective", acts[1].Activity)
 	}
 	// Where axis: computation is heavy in loops 1 and 4 (29%, 19%)...
-	regs := out.AtLevel(RegionLevel)
+	regs := atLevel(out, RegionLevel)
 	if len(regs) == 0 {
 		t.Fatal("no region findings")
 	}
@@ -112,7 +123,7 @@ func TestSearchProcessorLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := out.AtLevel(ProcessorLevel)
+	procs := atLevel(out, ProcessorLevel)
 	if len(procs) != 1 || procs[0].Proc != 3 {
 		t.Fatalf("processor findings = %+v", procs)
 	}
@@ -150,7 +161,7 @@ func TestSearchBalancedCubeFindsNoProcessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if procs := out.AtLevel(ProcessorLevel); len(procs) != 0 {
+	if procs := atLevel(out, ProcessorLevel); len(procs) != 0 {
 		t.Errorf("balanced cube flagged processors: %+v", procs)
 	}
 }

@@ -5,90 +5,6 @@ import (
 	"math"
 )
 
-// Histogram bins a data set into equal-width buckets; workload
-// characterization uses it to visualize burst-length distributions.
-type Histogram struct {
-	// Min and Max are the data extent.
-	Min, Max float64
-	// Counts holds the per-bin tallies, low to high.
-	Counts []int
-	// Total is the number of samples.
-	Total int
-}
-
-// NewHistogram bins xs into the given number of buckets. All values land
-// in a bin (the maximum goes into the last one).
-func NewHistogram(xs []float64, bins int) (*Histogram, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: need at least 1 bin, got %d", bins)
-	}
-	s := Summarize(xs)
-	h := &Histogram{Min: s.Min, Max: s.Max, Counts: make([]int, bins), Total: len(xs)}
-	span := s.Max - s.Min
-	for _, x := range xs {
-		idx := 0
-		if span > 0 {
-			idx = int((x - s.Min) / span * float64(bins))
-			if idx >= bins {
-				idx = bins - 1
-			}
-		}
-		h.Counts[idx]++
-	}
-	return h, nil
-}
-
-// Mode returns the index of the fullest bin (earliest on ties).
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + width*(float64(i)+0.5)
-}
-
-// ASCII renders the histogram as horizontal bars scaled to maxWidth
-// characters.
-func (h *Histogram) ASCII(maxWidth int) string {
-	if maxWidth < 1 {
-		maxWidth = 40
-	}
-	peak := 0
-	for _, c := range h.Counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	out := ""
-	for i, c := range h.Counts {
-		bar := 0
-		if peak > 0 {
-			bar = c * maxWidth / peak
-		}
-		out += fmt.Sprintf("%12.5g |%s %d\n", h.BinCenter(i), repeat('#', bar), c)
-	}
-	return out
-}
-
-func repeat(r rune, n int) string {
-	out := make([]rune, n)
-	for i := range out {
-		out[i] = r
-	}
-	return string(out)
-}
-
 // Autocorrelation returns the lag-k autocorrelation coefficients of the
 // series for k = 0..maxLag, normalized so lag 0 is 1. Trace analysis uses
 // it to detect periodic behavior in activity bursts (iterative programs

@@ -2,85 +2,8 @@ package stats
 
 import (
 	"errors"
-	"math"
-	"strings"
 	"testing"
 )
-
-func TestNewHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	h, err := NewHistogram(xs, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total != 10 || h.Min != 0 || h.Max != 9 {
-		t.Fatalf("histogram = %+v", h)
-	}
-	sum := 0
-	for _, c := range h.Counts {
-		sum += c
-	}
-	if sum != 10 {
-		t.Errorf("bin counts sum to %d", sum)
-	}
-	// Each bin of width 1.8 holds two values.
-	for i, c := range h.Counts {
-		if c != 2 {
-			t.Errorf("bin %d count = %d, want 2", i, c)
-		}
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 3); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty err = %v", err)
-	}
-	if _, err := NewHistogram([]float64{1}, 0); err == nil {
-		t.Error("zero bins should fail")
-	}
-}
-
-func TestHistogramConstantData(t *testing.T) {
-	h, err := NewHistogram([]float64{5, 5, 5}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Counts[0] != 3 {
-		t.Errorf("constant data counts = %v", h.Counts)
-	}
-	if h.Mode() != 0 {
-		t.Errorf("mode = %d", h.Mode())
-	}
-}
-
-func TestHistogramModeAndCenter(t *testing.T) {
-	xs := []float64{0, 10, 10, 10, 20}
-	h, err := NewHistogram(xs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bin 0 covers [0, 10): one value; bin 1 covers [10, 20]: four.
-	if h.Mode() != 1 {
-		t.Errorf("mode = %d, counts %v", h.Mode(), h.Counts)
-	}
-	if got := h.BinCenter(0); math.Abs(got-5) > 1e-12 {
-		t.Errorf("bin 0 center = %g", got)
-	}
-}
-
-func TestHistogramASCII(t *testing.T) {
-	h, err := NewHistogram([]float64{1, 2, 2, 3}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := h.ASCII(10)
-	if !strings.Contains(out, "#") || strings.Count(out, "\n") != 3 {
-		t.Errorf("ASCII histogram:\n%s", out)
-	}
-	if h.ASCII(0) == "" {
-		t.Error("default width render empty")
-	}
-}
 
 func TestAutocorrelation(t *testing.T) {
 	// A period-4 sawtooth has a strong lag-4 peak.

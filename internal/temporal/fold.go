@@ -178,9 +178,11 @@ func (f *Fold) Window() float64 { return f.window }
 func (f *Fold) Procs() int { return f.procs }
 
 // Add folds one event. The event must be well formed (trace.Event
-// Validate semantics: nonnegative rank, nonnegative duration); events
-// filtered out by Options.Activities still grow the processor count,
-// since an idle processor is the imbalance, not missing data. Negative
+// Validate semantics: nonnegative rank, nonnegative duration) and lie
+// within 2^62 windows of time zero (|Start|, |End| < Window·2^62), so
+// its window indices and the fold's arithmetic on them fit an int.
+// Events filtered out by Options.Activities still grow the processor
+// count, since an idle processor is the imbalance, not missing data. Negative
 // start times are handled by flooring, so an event reaching into
 // negative virtual time lands in the negative-index windows covering it
 // rather than corrupting window zero.

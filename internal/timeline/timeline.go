@@ -212,42 +212,3 @@ func (t *Timeline) ASCII() string {
 	sb.WriteString(" (blank = idle/uninstrumented)\n")
 	return sb.String()
 }
-
-// Utilization returns, per rank, the fraction of the rendered window the
-// rank spent in any instrumented activity — a quick imbalance read of the
-// timeline itself.
-func (t *Timeline) Utilization() []float64 {
-	out := make([]float64, t.Ranks)
-	for r, lane := range t.Lanes {
-		busy := 0
-		for _, j := range lane {
-			if j >= 0 {
-				busy++
-			}
-		}
-		out[r] = float64(busy) / float64(len(lane))
-	}
-	return out
-}
-
-// BusiestActivity returns the activity occupying the most columns across
-// all lanes, with its column count.
-func (t *Timeline) BusiestActivity() (string, int) {
-	counts := make([]int, len(t.ActivityNames))
-	for _, lane := range t.Lanes {
-		for _, j := range lane {
-			if j >= 0 {
-				counts[j]++
-			}
-		}
-	}
-	order := make([]int, len(counts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return counts[order[a]] > counts[order[b]] })
-	if len(order) == 0 {
-		return "", 0
-	}
-	return t.ActivityNames[order[0]], counts[order[0]]
-}

@@ -1,7 +1,6 @@
 package timeline
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -114,38 +113,6 @@ func TestASCII(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	var l trace.Log
-	// Rank 0 busy half the span; rank 1 the whole span.
-	for _, e := range []trace.Event{
-		{Rank: 0, Region: "r", Activity: "a", Start: 0, End: 4},
-		{Rank: 1, Region: "r", Activity: "a", Start: 0, End: 8},
-	} {
-		if err := l.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tl, err := New(&l, Options{Width: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := tl.Utilization()
-	if math.Abs(u[0]-0.5) > 1e-12 || math.Abs(u[1]-1) > 1e-12 {
-		t.Errorf("utilization = %v", u)
-	}
-}
-
-func TestBusiestActivity(t *testing.T) {
-	tl, err := New(sampleLog(t), Options{Width: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	name, cols := tl.BusiestActivity()
-	if name != "comp" || cols != 12 {
-		t.Errorf("busiest = %s, %d", name, cols)
-	}
-}
-
 // TestTimelineFromCFDRun renders a real simulated trace end to end.
 func TestTimelineFromCFDRun(t *testing.T) {
 	cfg := cfd.Defaults()
@@ -168,9 +135,5 @@ func TestTimelineFromCFDRun(t *testing.T) {
 	// The warmup leaves the first columns idle on every rank.
 	if !strings.Contains(out, "|    ") {
 		t.Error("expected leading idle time from the uninstrumented warmup")
-	}
-	name, _ := tl.BusiestActivity()
-	if name != "computation" {
-		t.Errorf("busiest activity = %s", name)
 	}
 }

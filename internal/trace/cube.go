@@ -491,34 +491,3 @@ func (c *Cube) Scale(factor float64) error {
 	c.invalidate()
 	return nil
 }
-
-// SubCube returns a new cube restricted to the given region indices (in
-// the given order). The program time carries over unchanged, so shares
-// computed on the sub-cube remain relative to the whole program.
-func (c *Cube) SubCube(regions []int) (*Cube, error) {
-	if len(regions) == 0 {
-		return nil, ErrNoRegions
-	}
-	names := make([]string, len(regions))
-	for k, i := range regions {
-		if i < 0 || i >= len(c.regions) {
-			return nil, fmt.Errorf("%w: region %d of %d", ErrOutOfRange, i, len(c.regions))
-		}
-		names[k] = c.regions[i]
-	}
-	out, err := NewCube(names, c.activities, c.procs)
-	if err != nil {
-		return nil, err
-	}
-	for k, i := range regions {
-		for j := range c.activities {
-			copy(out.times[k][j], c.times[i][j])
-		}
-	}
-	if c.programTime > 0 {
-		if err := out.SetProgramTime(c.programTime); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

@@ -314,45 +314,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestSubCube(t *testing.T) {
-	c := mustCube(t, []string{"a", "b", "c"}, []string{"x", "y"}, 2)
-	fillCube(t, c)
-	if err := c.SetProgramTime(5000); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := c.SubCube([]int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumRegions() != 2 || sub.RegionIndex("c") != 0 || sub.RegionIndex("a") != 1 {
-		t.Fatalf("sub regions = %v", sub.Regions())
-	}
-	want, _ := c.At(2, 1, 1)
-	got, err := sub.At(0, 1, 1)
-	if err != nil || got != want {
-		t.Errorf("sub cell = %g, want %g", got, want)
-	}
-	if sub.ProgramTime() != 5000 {
-		t.Errorf("sub program time = %g", sub.ProgramTime())
-	}
-	// Mutating the sub-cube must not touch the original.
-	if err := sub.Set(0, 0, 0, 999); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := c.At(2, 0, 0); v == 999 {
-		t.Error("SubCube shares storage with the original")
-	}
-	if _, err := c.SubCube(nil); !errors.Is(err, ErrNoRegions) {
-		t.Errorf("empty selection err = %v", err)
-	}
-	if _, err := c.SubCube([]int{7}); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("range err = %v", err)
-	}
-	if _, err := c.SubCube([]int{0, 0}); !errors.Is(err, ErrDuplicateName) {
-		t.Errorf("duplicate selection err = %v", err)
-	}
-}
-
 // TestCubeRejectsNonFiniteTimes guards the NaN hole in the time checks:
 // `t < 0` is false for NaN, so the old checks stored NaN (and +Inf)
 // times, poisoning every marginal and index downstream.

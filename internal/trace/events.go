@@ -172,18 +172,6 @@ func (l *Log) Durations(activity string) []float64 {
 	return out
 }
 
-// RegionDurations returns the durations of the events of one activity
-// within one region.
-func (l *Log) RegionDurations(region, activity string) []float64 {
-	var out []float64
-	for _, e := range l.events {
-		if e.Region == region && e.Activity == activity {
-			out = append(out, e.Duration())
-		}
-	}
-	return out
-}
-
 // Window returns a new log containing the portions of events overlapping
 // [from, to): events are clipped to the window. Per-phase analysis slices
 // a run's log into iteration windows and aggregates each into its own

@@ -183,10 +183,6 @@ func TestDurations(t *testing.T) {
 	if got := l.Durations("nope"); got != nil {
 		t.Errorf("Durations(nope) = %v", got)
 	}
-	r1comp := l.RegionDurations("r1", "comp")
-	if len(r1comp) != 2 || r1comp[1] != 3 {
-		t.Errorf("RegionDurations = %v", r1comp)
-	}
 }
 
 func TestWindow(t *testing.T) {
